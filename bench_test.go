@@ -351,7 +351,10 @@ func BenchmarkDynldDriverLink(b *testing.B) {
 // BenchmarkDynldJobScale gates the job engine's shared-index scaling
 // claim: an 8-rank job (fast) versus 8 sequential 1-rank jobs
 // (baseline — each builds its own first-definer index, the pre-engine
-// O(N × index-build) cost). Both variants run their ranks on ONE
+// O(N × index-build) cost). A workload keeps its index for later jobs,
+// so every job here runs over a fresh pygen.Fork of the workload: the
+// fast job builds the index once, each baseline job builds it again,
+// as the pair has always measured. Both variants run their ranks on ONE
 // worker so the measured ratio isolates the shared-preparation saving
 // and stays stable across runner core counts; goroutine parallelism
 // across ranks comes on top of it in real use.
@@ -370,7 +373,7 @@ func BenchmarkDynldJobScale(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := job.Run(job.Config{
-				Mode: Link, Workload: w, NTasks: ranks, Ranks: ranks,
+				Mode: Link, Workload: pygen.Fork(w), NTasks: ranks, Ranks: ranks,
 				Workers: 1, Coverage: 0.02, Seed: cfg.Seed,
 			})
 			if err != nil {
@@ -384,7 +387,7 @@ func BenchmarkDynldJobScale(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < ranks; r++ {
 				if _, err := job.Run(job.Config{
-					Mode: Link, Workload: w, NTasks: ranks, Ranks: 1,
+					Mode: Link, Workload: pygen.Fork(w), NTasks: ranks, Ranks: 1,
 					Coverage: 0.02, Seed: cfg.Seed,
 				}); err != nil {
 					b.Fatal(err)

@@ -48,7 +48,10 @@ type cacheEntry struct {
 // GenerateCtx calls (and everything built on them — runs, jobs, table
 // experiments, serve requests) over the same Config share one
 // generated *Workload. Workloads are immutable by contract, so sharing
-// is safe; eviction is LRU over at most cap entries.
+// is safe; eviction is LRU over at most cap entries. State derived from
+// a workload, such as the job engine's shared symbol index, is kept on
+// the workload itself (pygen.Derived), so an evicted entry takes it
+// along once no running job still holds the workload.
 type workloadCache struct {
 	mu      sync.Mutex
 	cap     int

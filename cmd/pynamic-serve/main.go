@@ -152,6 +152,11 @@ func main() {
 	})
 	defer sv.Close()
 
+	// The drain handler goes in before the listener starts: once
+	// /healthz can answer, a SIGTERM must drain, not kill.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	httpSrv := &http.Server{Addr: *addr, Handler: sv.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
@@ -172,8 +177,6 @@ func main() {
 			len(fl.Members()), fl.Self(), node, *leaseTTL)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 		stop() // restore default handling: a third signal kills us outright

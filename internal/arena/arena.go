@@ -41,8 +41,10 @@ func (s Stats) Add(other Stats) Stats {
 	}
 }
 
-// minSlabElems is the smallest slab, in elements; slabs double as the
-// arena grows so N carves cost O(log N) allocations.
+// minSlabElems is the default size, in elements, of a slab started
+// from empty; slabs double as the arena grows so N carves cost
+// O(log N) allocations. Presize replaces it for owners that know their
+// demand up front.
 const minSlabElems = 1024
 
 // Of is a typed slab arena. Make carves slices from a current slab,
@@ -52,6 +54,7 @@ type Of[T any] struct {
 	cur      []T // carve source: Make slices cur[used:]
 	used     int
 	retained []T // largest slab seen, recycled by Reset
+	first    int // size of a slab started from empty; 0 = minSlabElems
 	elemSize uint64
 	stats    Stats
 }
@@ -83,9 +86,17 @@ func (a *Of[T]) Make(n int) []T {
 	return s
 }
 
+// Presize sets the size, in elements, of the slab the arena starts
+// from when it holds none — its first slab, and the first after a
+// Reset whose retained slab is too small — in place of the
+// minSlabElems default. An owner that knows its demand before carving
+// passes it, so a small workload does not carry a mostly empty minimum
+// slab; growth past it still doubles. n <= 0 restores the default.
+func (a *Of[T]) Presize(n int) { a.first = max(n, 0) }
+
 // refill installs a slab with room for at least n elements: the
 // retained slab when it fits (a reuse), else a fresh slab of doubled
-// size.
+// size (or, from empty, of the presized or default size).
 func (a *Of[T]) refill(n int) {
 	if len(a.retained) >= n {
 		slab := a.retained
@@ -95,9 +106,12 @@ func (a *Of[T]) refill(n int) {
 		a.stats.BytesReused += uint64(len(slab)) * a.elemSize
 		return
 	}
-	size := minSlabElems
-	if len(a.cur)*2 > size {
-		size = len(a.cur) * 2
+	size := 2 * len(a.cur)
+	if size == 0 {
+		size = a.first
+		if size == 0 {
+			size = minSlabElems
+		}
 	}
 	if n > size {
 		size = n

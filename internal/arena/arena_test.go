@@ -94,3 +94,43 @@ func TestSteadyStateMakeDoesNotAllocate(t *testing.T) {
 		t.Fatalf("steady-state Reset+Make allocates %.1f objects/run, want 0", allocs)
 	}
 }
+
+// TestPresizeSizesFirstSlabThenDoubles pins Presize's contract: the
+// first slab holds exactly the presized demand (filling it allocates
+// once), and growth past it doubles from there rather than jumping to
+// the default minimum.
+func TestPresizeSizesFirstSlabThenDoubles(t *testing.T) {
+	a := New[int](8)
+	a.Presize(8)
+	for i := 0; i < 8; i++ {
+		a.Make(1)
+	}
+	if st := a.Stats(); st.Slabs != 1 || st.BytesInUse != 64 {
+		t.Fatalf("after 8 carves: %+v, want 1 slab and 64 bytes in use", st)
+	}
+	// The ninth carve overflows the exact first slab: one doubled slab
+	// (16 elements) absorbs the next 16 carves.
+	for i := 0; i < 16; i++ {
+		a.Make(1)
+	}
+	if st := a.Stats(); st.Slabs != 2 {
+		t.Fatalf("after 24 carves: %d slabs, want 2 (8 then 16)", st.Slabs)
+	}
+	a.Make(1)
+	if st := a.Stats(); st.Slabs != 3 {
+		t.Fatalf("after 25 carves: %d slabs, want 3 (8, 16, 32)", st.Slabs)
+	}
+}
+
+func TestPresizeZeroRestoresDefault(t *testing.T) {
+	a := New[int](8)
+	a.Presize(8)
+	a.Presize(0)
+	a.Make(1)
+	for i := 1; i < minSlabElems; i++ {
+		a.Make(1)
+	}
+	if st := a.Stats(); st.Slabs != 1 {
+		t.Fatalf("default-sized arena took %d slabs for %d carves, want 1", st.Slabs, minSlabElems)
+	}
+}

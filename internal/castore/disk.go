@@ -223,21 +223,65 @@ func decodeEntry(raw []byte, schema string) ([]byte, error) {
 	case encRaw:
 		return payload, nil
 	case encGzip:
-		zr, err := gzip.NewReader(bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		data, err := io.ReadAll(zr)
-		if err != nil {
-			return nil, err
-		}
-		if err := zr.Close(); err != nil {
-			return nil, err
-		}
-		return data, nil
+		return gunzip(payload)
 	default:
 		return nil, fmt.Errorf("castore: unknown encoding %q", fields[2])
 	}
+}
+
+// Pooled gzip codecs. A fresh gzip.Writer allocates about 800 KB of
+// flate state and a fresh gzip.Reader about 50 KB, against entry
+// payloads of a few KB, so Put and Get reuse them: Reset restores a
+// codec to exactly its freshly constructed state, so entry bytes are
+// identical to a new codec's. The pools hold at most what concurrent
+// callers had in use at once, and the runtime drops codecs left idle
+// across garbage collections.
+var (
+	gzipWriters sync.Pool // *gzip.Writer
+	gzipReaders sync.Pool // *gzip.Reader
+)
+
+// gzipBytes returns data gzip-compressed at the default level.
+func gzipBytes(data []byte) ([]byte, error) {
+	var buf bytes.Buffer
+	zw, _ := gzipWriters.Get().(*gzip.Writer)
+	if zw == nil {
+		zw = gzip.NewWriter(&buf)
+	} else {
+		zw.Reset(&buf)
+	}
+	defer gzipWriters.Put(zw)
+	if _, err := zw.Write(data); err != nil {
+		return nil, err
+	}
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// gunzip decompresses a gzip payload, verifying its checksum and size.
+func gunzip(payload []byte) ([]byte, error) {
+	src := bytes.NewReader(payload)
+	zr, _ := gzipReaders.Get().(*gzip.Reader)
+	var err error
+	if zr == nil {
+		zr, err = gzip.NewReader(src)
+	} else {
+		err = zr.Reset(src)
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer gzipReaders.Put(zr)
+	data, err := io.ReadAll(zr)
+	if err != nil {
+		return nil, err
+	}
+	if err := zr.Close(); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // dropEntry removes a corrupt entry file and updates size accounting.
@@ -268,16 +312,11 @@ func (s *Disk) Put(schema, key string, data []byte) error {
 	enc := encRaw
 	payload := data
 	if s.opts.Compress {
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(data); err != nil {
-			return err
-		}
-		if err := zw.Close(); err != nil {
+		var err error
+		if payload, err = gzipBytes(data); err != nil {
 			return err
 		}
 		enc = encGzip
-		payload = buf.Bytes()
 	}
 	header := fmt.Sprintf("%s %s %s\n", formatVersion, schema, enc)
 

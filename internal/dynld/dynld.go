@@ -229,7 +229,12 @@ type Loader struct {
 
 	// installedSyms counts symbols across installed images; the fast
 	// path presizes defs from it so registration never rehashes.
-	installedSyms int
+	// installedObjs and installedRelocs count installed images and
+	// their relocations, which size the loader-lifetime arenas' first
+	// slabs.
+	installedSyms   int
+	installedObjs   int
+	installedRelocs int
 	// scopeGen increments whenever the link map gains an object;
 	// memoized scope state is valid only while its stamped generation
 	// matches.
@@ -327,6 +332,16 @@ func New(mem memsim.Memory, fs *fsim.FS, clock *simtime.Clock, opts Options) *Lo
 func (ld *Loader) Install(img *elfimg.Image) {
 	if _, dup := ld.registry[img.Name]; !dup {
 		ld.installedSyms += len(img.Syms)
+		ld.installedObjs++
+		ld.installedRelocs += len(img.Relocs)
+		// The loader-lifetime arenas carve one LinkEntry per mapped
+		// object and three per-relocation tables, so the installed set
+		// is their whole demand unless more images are installed later:
+		// the first slabs hold exactly that, and later growth doubles.
+		ld.entryArena.Presize(ld.installedObjs)
+		ld.boolArena.Presize(ld.installedRelocs)
+		ld.defArena.Presize(ld.installedRelocs)
+		ld.i32Arena.Presize(ld.installedRelocs)
 	}
 	ld.registry[img.Name] = img
 	ld.fs.Create(img.Path, img.FileSize())

@@ -3,7 +3,9 @@ package dynld
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
+	"repro/internal/arena"
 	"repro/internal/elfimg"
 	"repro/internal/fsim"
 	"repro/internal/memsim"
@@ -177,6 +179,78 @@ func TestBatchRelocationSteadyStateAllocFree(t *testing.T) {
 	}
 	if k.ArenaBytesInUse == 0 {
 		t.Error("kernel counters report no live arena bytes")
+	}
+}
+
+// TestLoaderArenasSizedToInstalledSet pins the loader-lifetime arenas'
+// first slabs to the installed set. Over the serving benchmark's
+// warm-jobs workload (llnl, scale_div 60, funcs_div 20) a Link-mode
+// startup maps every installed image in one slab per arena, each slab
+// holding exactly the installed images' LinkEntry structs and
+// per-relocation tables — not a 1024-element minimum. Mapping an image
+// installed afterwards then needs a new, doubled slab: the first one
+// was full.
+func TestLoaderArenasSizedToInstalledSet(t *testing.T) {
+	w, err := pygen.Generate(pygen.LLNLModel().Scaled(60).ScaledFuncs(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := fsim.New(fsim.Defaults(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld := New(memsim.NewAnalytic(memsim.ZeusConfig()), fs, simtime.NewClock(2.4e9), Options{Clients: 1})
+	imgs := append(w.AllImages(), w.Exe)
+	relocs := 0
+	for _, img := range imgs {
+		ld.Install(img)
+		relocs += len(img.Relocs)
+	}
+	if _, err := ld.StartupExecutable(w.Exe); err != nil {
+		t.Fatal(err)
+	}
+	if err := ld.StartupPrelinked(w.Sonames()); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(ld.LinkMap()); got != len(imgs) {
+		t.Fatalf("startup mapped %d of %d installed images", got, len(imgs))
+	}
+
+	entrySz := uint64(unsafe.Sizeof(LinkEntry{}))
+	relocSz := uint64(unsafe.Sizeof(DefSite{})) + 1 + 4 // relocDef, pltBound, relocFunc
+	lifetime := func() arena.Stats {
+		return ld.entryArena.Stats().Add(ld.boolArena.Stats()).Add(ld.defArena.Stats()).Add(ld.i32Arena.Stats())
+	}
+	// A lazy Link startup resolves nothing in batch (prelinked data
+	// slots need no lookup), so the only slabs are the four
+	// loader-lifetime arenas' first ones.
+	k, life := ld.Kernel(), lifetime()
+	if k.ArenaSlabs != 4 || life.Slabs != 4 {
+		t.Fatalf("ArenaSlabs = %d (loader-lifetime %d) after startup, want 4: one per loader-lifetime arena",
+			k.ArenaSlabs, life.Slabs)
+	}
+	if want := uint64(len(imgs))*entrySz + uint64(relocs)*relocSz; life.BytesInUse != want {
+		t.Fatalf("loader-lifetime arenas hold %d bytes, want %d (%d images, %d relocations)",
+			life.BytesInUse, want, len(imgs), relocs)
+	}
+	if k.ArenaBytesInUse < life.BytesInUse {
+		t.Fatalf("KernelStats.ArenaBytesInUse = %d, below the loader-lifetime arenas' %d", k.ArenaBytesInUse, life.BytesInUse)
+	}
+
+	// An image installed after startup overflows the exactly sized
+	// slabs: its LinkEntry and its relocation tables each take one new
+	// slab (a 1024-element minimum slab would have absorbed them).
+	late := *w.Modules[0]
+	late.Name, late.Path = "liblate.so", late.Path+".late"
+	ld.Install(&late)
+	if _, err := ld.Dlopen(late.Name, RTLDLazy); err != nil {
+		t.Fatal(err)
+	}
+	if got := ld.entryArena.Stats().Slabs; got != 2 {
+		t.Fatalf("LinkEntry arena: %d slabs after a later dlopen, want 2", got)
+	}
+	if got := lifetime().Slabs; got != 8 {
+		t.Fatalf("loader-lifetime arenas: %d slabs after a later dlopen, want 8 (each grows once)", got)
 	}
 }
 

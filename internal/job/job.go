@@ -5,12 +5,13 @@
 // Each Rank carries its own substrate bundle — memory model, simulated
 // clock, dynamic linker wired to the rank's *real* node from the
 // cluster placement, interpreter — over shared immutable state: the
-// workload images, the dynld first-definer index (built once per job,
-// shared read-only), and a forked view of the job filesystem. Because
-// ranks share nothing mutable, they execute goroutine-parallel and the
-// results are byte-identical regardless of worker count or GOMAXPROCS;
-// per-rank randomness (detailed-model placement, ASLR, skew) derives
-// from deterministic per-rank seeds.
+// workload images, the dynld first-definer index (built once per
+// workload and link mode, kept on the workload, shared read-only), and
+// a forked view of the job filesystem. Because ranks share nothing
+// mutable, they execute goroutine-parallel and the results are
+// byte-identical regardless of worker count or GOMAXPROCS; per-rank
+// randomness (detailed-model placement, ASLR, skew) derives from
+// deterministic per-rank seeds.
 //
 // The engine reports per-rank metric distributions (min/mean/max/p99)
 // and job phase times gated by the slowest rank, matching MPI barrier
@@ -275,7 +276,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 
 	var shared *dynld.SharedIndex
 	if !cfg.NoFastPath {
-		shared, err = buildSharedIndex(cfg, w)
+		shared, err = sharedIndexFor(w, cfg.Mode != Vanilla)
 		if err != nil {
 			return nil, err
 		}
@@ -405,15 +406,31 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// sharedIndexKey names a workload's shared index among its derived
+// state (pygen.Derived). The index depends on the workload and on
+// whether the build prelinks its link line, nothing else, so Link and
+// Link+Bind jobs share one.
+type sharedIndexKey struct{ linked bool }
+
+// sharedIndexFor returns w's shared first-definer index for the given
+// link mode, built by the first job over the workload and kept on it:
+// every later job over a cached workload reuses it, and it is freed
+// with the workload when the cache evicts it.
+func sharedIndexFor(w *pygen.Workload, linked bool) (*dynld.SharedIndex, error) {
+	return pygen.Derived(w, sharedIndexKey{linked}, func() (*dynld.SharedIndex, error) {
+		return buildSharedIndex(w, linked)
+	})
+}
+
 // buildSharedIndex replays the phase pipeline's canonical load order —
 // executable, then (Link builds) the prelinked link line, then every
-// module import — once, for all ranks to share.
-func buildSharedIndex(cfg Config, w *pygen.Workload) (*dynld.SharedIndex, error) {
+// module import — once, for all ranks of every job over w to share.
+func buildSharedIndex(w *pygen.Workload, linked bool) (*dynld.SharedIndex, error) {
 	b := dynld.NewIndexBuilder(append(w.AllImages(), w.Exe)...)
 	if err := b.Load(w.Exe.Name); err != nil {
 		return nil, err
 	}
-	if cfg.Mode != Vanilla {
+	if linked {
 		if err := b.Load(w.Sonames()...); err != nil {
 			return nil, err
 		}

@@ -241,6 +241,69 @@ func TestSharedIndexJobEquivalence(t *testing.T) {
 	}
 }
 
+// TestSharedIndexBuiltOncePerWorkload pins the shared index's
+// lifetime: the first job over a workload leaves its index on the
+// workload, one per link mode (Vanilla, and the prelinked Link and
+// Link+Bind builds, which share one), later jobs reuse it, a second
+// workload gets its own, and every job's result stays byte-identical
+// to the NoFastPath baseline, which uses no index at all.
+func TestSharedIndexBuiltOncePerWorkload(t *testing.T) {
+	// memoized returns w's index for the link mode, failing the test
+	// if no job left one there.
+	memoized := func(w *pygen.Workload, linked bool) *dynld.SharedIndex {
+		idx, err := pygen.Derived(w, sharedIndexKey{linked}, func() (*dynld.SharedIndex, error) {
+			t.Fatalf("no shared index memoized on the workload (linked %v)", linked)
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	w := testWorkload(t)
+	kept := map[bool]*dynld.SharedIndex{}
+	for _, mode := range []Mode{Vanilla, Link, LinkBind} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg := Config{Mode: mode, Workload: w, NTasks: 4, Ranks: 2, Seed: seed, RankSkew: 0.2}
+			fast := mustRun(t, cfg)
+			linked := mode != Vanilla
+			idx := memoized(w, linked)
+			if kept[linked] == nil {
+				kept[linked] = idx
+			} else if idx != kept[linked] {
+				t.Fatalf("%s seed %d: the workload's index was replaced", mode, seed)
+			}
+			cfg.NoFastPath = true
+			slow := mustRun(t, cfg)
+			fb, err := json.Marshal(fast)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb, err := json.Marshal(slow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(fb) != string(sb) {
+				t.Fatalf("%s seed %d: result with the memoized index differs from NoFastPath", mode, seed)
+			}
+		}
+	}
+	if kept[false] == kept[true] {
+		t.Fatal("Vanilla and linked jobs share one index; their load orders differ")
+	}
+
+	cfg := pygen.LLNLModel().Scaled(40).ScaledFuncs(10)
+	cfg.Seed = 43
+	w2, err := pygen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustRun(t, Config{Mode: Link, Workload: w2, NTasks: 4, Ranks: 2, Seed: 1})
+	if memoized(w2, true) == kept[true] {
+		t.Fatal("a second workload reused the first workload's index")
+	}
+}
+
 // TestRoundRobinSpreadsJob: cyclic placement uses more nodes than
 // block for the same task count, and the placement is visible in the
 // per-rank node assignment.

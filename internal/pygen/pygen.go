@@ -34,6 +34,7 @@ package pygen
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/elfimg"
 )
@@ -235,6 +236,50 @@ type Workload struct {
 
 	moduleName map[string]string // python name -> soname
 	names      []string          // python names in import order
+
+	// derived memoizes state computed purely from the workload (see
+	// Derived), so it lives and dies with the workload.
+	derived sync.Map // key -> *derivedSlot
+}
+
+// derivedSlot is one memoized derivation of a workload.
+type derivedSlot struct {
+	once sync.Once
+	v    any
+	err  error
+}
+
+// Derived returns build's result for w, running build at most once per
+// key over the workload's lifetime; concurrent first callers wait for
+// that one run. A workload is immutable, so state computed purely from
+// it — the job engine's shared first-definer index, say — can be kept
+// on it and is freed with it: a workload evicted from a cache takes
+// its derived state along, with no side registry to leak through. key
+// names the derivation and must be comparable. A failed build is
+// memoized like a successful one, which is right only because build
+// depends on w alone.
+func Derived[T any](w *Workload, key any, build func() (T, error)) (T, error) {
+	v, ok := w.derived.Load(key)
+	if !ok {
+		v, _ = w.derived.LoadOrStore(key, new(derivedSlot))
+	}
+	slot := v.(*derivedSlot)
+	slot.once.Do(func() { slot.v, slot.err = build() })
+	if slot.err != nil {
+		var zero T
+		return zero, slot.err
+	}
+	return slot.v.(T), nil
+}
+
+// Fork returns a workload with w's content and none of its derived
+// state, so the first job over the fork builds what w had memoized. It
+// shares w's immutable images and costs one small allocation, which
+// lets the job-scaling benchmark time jobs that each build their own
+// index without regenerating the workload.
+func Fork(w *Workload) *Workload {
+	return &Workload{Config: w.Config, Exe: w.Exe, Modules: w.Modules, Utils: w.Utils,
+		moduleName: w.moduleName, names: w.names}
 }
 
 // AllImages returns every generated DSO (modules then utilities), not

@@ -201,8 +201,9 @@ type Options struct {
 	// MaxHistory caps how many finished jobs (done/failed/canceled)
 	// are retained for polling (≤0 = 1000). The oldest finished
 	// records are evicted first; queued and running jobs are never
-	// evicted. Spec rows additionally live in the job store, so a
-	// pruned spec's status remains queryable.
+	// evicted. Spec rows additionally live in the job store, and
+	// results in the engine's result store, so a pruned spec's status
+	// and result remain queryable.
 	MaxHistory int
 	// NodeID identifies this replica in the shared job store (claims,
 	// leases, WAL file names). Empty = "solo".
@@ -756,8 +757,25 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 // handleSpecFromStore answers spec lookups that have no live local
 // record from the shared job store, keeping a spec's status and result
 // addressable on every replica (and after history pruning or restart).
+// A spec with no job store row may still have a persisted result (it
+// was answered dedup:"store"); GETs then answer from that.
 func (s *Server) handleSpecFromStore(w http.ResponseWriter, r *http.Request, id, sub string) {
 	j, ok := s.store.Get(id)
+	if !ok && r.Method == http.MethodGet {
+		// A spec answered from castore (dedup:"store") never got a job
+		// store row, so once history pruning drops its record only the
+		// result store still knows it.
+		if res := s.eng.LookupSpecResult(id); res != nil {
+			switch sub {
+			case "":
+				writeJSON(w, http.StatusOK, SpecStatus{ID: id, Status: StatusDone, Kind: res.Kind, Result: res})
+				return
+			case "result":
+				writeJSON(w, http.StatusOK, res.Payload())
+				return
+			}
+		}
+	}
 	if !ok {
 		// Unknown here entirely. With a fleet, the ring owner may still
 		// know it (fleets without a shared store directory).

@@ -115,16 +115,19 @@ func (s *Server) awaitRemote(ctx context.Context, rec *record) {
 
 // claimEligible decides whether the steal loop (or startup recovery)
 // may take a store row this server has no live record for. Running
-// rows qualify once their lease expires (or if this very node holds
-// the claim — a crashed previous life). Queued rows qualify
-// immediately when no fleet is configured or this node owns the hash
-// on the ring; a non-owner waits out a grace period of two lease TTLs
-// so it only picks up queued work whose owner has genuinely stopped
-// claiming it.
-func (s *Server) claimEligible(j jobstore.Job, now time.Time) bool {
+// rows qualify once their lease expires, and during startup recovery
+// also when this very node holds the claim — a crashed previous life.
+// A live process never re-adopts its own unexpired claim: between
+// finishSpec committing a record and store.Complete landing, the row
+// still reads running under this node, and adopting it then would
+// finish the spec a second time. Queued rows qualify immediately when
+// no fleet is configured or this node owns the hash on the ring; a
+// non-owner waits out a grace period of two lease TTLs so it only
+// picks up queued work whose owner has genuinely stopped claiming it.
+func (s *Server) claimEligible(j jobstore.Job, now time.Time, recovering bool) bool {
 	switch j.Status {
 	case jobstore.StatusRunning:
-		return j.Owner == s.node || now.UnixNano() >= j.LeaseExpiry
+		return (recovering && j.Owner == s.node) || now.UnixNano() >= j.LeaseExpiry
 	case jobstore.StatusQueued:
 		fl := s.fleetRef()
 		if fl == nil || fl.Owns(j.Hash) {
@@ -166,7 +169,7 @@ func (s *Server) recoverFromStore() { s.adoptClaimable(true) }
 func (s *Server) adoptClaimable(recovering bool) {
 	now := time.Now() //pynamic:nondeterministic lease/heartbeat clock: liveness, not canonical bytes
 	for _, j := range s.store.List() {
-		if j.Terminal() || !s.claimEligible(j, now) {
+		if j.Terminal() || !s.claimEligible(j, now, recovering) {
 			continue
 		}
 		s.mu.Lock()
